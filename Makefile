@@ -14,7 +14,7 @@ FUZZ_TARGETS = \
 	FuzzProfDecode=./internal/prof
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench bench-json bench-diff lint safelint staticcheck govulncheck experiments examples fuzz cover clean
+.PHONY: all build vet test race bench bench-json bench-diff perfbench lint safelint staticcheck govulncheck experiments examples fuzz cover clean
 
 all: build lint test
 
@@ -52,6 +52,21 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -out BENCH_current.json
 	$(GO) run ./cmd/benchjson -diff $(BENCH_DIFF_FLAGS) \
 		$(BENCH_BASELINE) BENCH_current.json
+
+# The repository benchmark (_perfbench, a module of its own): its tests
+# (seam decorators, self times, seam call counts, decorated-versus-bare
+# class hash), then a 2-second smoke run of every workload. A smoke run
+# passes when its result line reports "correct": true and 0 failed.
+# CI runs this target.
+PERFBENCH_WORKLOADS = frame-nominal frame-faulted fleet-uplink
+perfbench:
+	cd _perfbench && $(GO) test .
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench smoke $$w"; \
+		out=$$(bash _perfbench/run.sh --workload $$w --seconds 2); \
+		echo "$$out" | grep -Eq '"correct": ?true' || { echo "$$w: output check failed" >&2; exit 1; }; \
+		echo "$$out" | grep -Eq '"failed": ?0[,}]' || { echo "$$w: failed operations" >&2; exit 1; }; \
+	done
 
 # The lint umbrella: vet, the repo's own safety-rules analyzer, and
 # staticcheck/govulncheck when installed. This is the target CI runs.

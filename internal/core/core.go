@@ -625,6 +625,14 @@ func (s *System) Operate(stream interface {
 	o := s.Obs
 	for i := 0; i < stream.Len(); i++ {
 		x, _ := stream.Sample(i)
+		// One forward pass per frame: the FDIR output guard, the trust
+		// check, the primary and the drift score all forward the same
+		// input, so inside this scope the first pass computes and the
+		// rest reuse it. A golden-image restore or a weight write through
+		// Params in between forces a fresh pass (see nn.Network). The
+		// scope opens after Sample, so a stream that runs the network
+		// itself is never served a memo.
+		s.Net.BeginFrame()
 		rep.Frames++
 		// Open the causal trace for this frame; the stages below attach
 		// child spans (the FDIR runtime records its own detect → isolate
@@ -632,10 +640,11 @@ func (s *System) Operate(stream interface {
 		o.TraceBegin(i)
 		var fallback bool
 		var class int
-		// Profile the decision stage: the FDIR step (or the raw pattern
-		// decide) is the inference hot path, attributed to stage/infer;
-		// the per-kernel sites inside qnn.Engine.Infer record under the
-		// same profiler, so the stage total decomposes kernel by kernel.
+		// Profile the decision stage: stage/infer times the FDIR step (or
+		// the raw pattern decide) as one site — input and output guards,
+		// the frame's float forward pass, the trust check and the pattern
+		// vote. The int8 qnn.Engine is not on this path, so its per-kernel
+		// sites do not decompose this total.
 		pb := s.Prof.Begin()
 		if s.FDIR != nil {
 			st := s.FDIR.Step(i, x, fdir.Signals{})
@@ -700,6 +709,7 @@ func (s *System) Operate(stream interface {
 						i, drift.Statistic()))
 			}
 		}
+		s.Net.EndFrame()
 		o.TraceEnd(i)
 	}
 	if s.FDIR != nil {

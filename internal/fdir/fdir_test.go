@@ -2,6 +2,7 @@ package fdir
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"safexplain/internal/data"
@@ -217,6 +218,39 @@ func TestGoldenRestoreRepairsSEU(t *testing.T) {
 	}
 	if !golden.Verify(net) {
 		t.Fatal("restored image must pass golden verification")
+	}
+}
+
+// TestFrameScopeSeesSEUAndRestore: inside an open frame scope the probe
+// shares the network's memoized pass, yet an SEU injected mid-frame
+// (through Params) and a golden reload (a Layers swap) are both seen by
+// the next probe.
+func TestFrameScopeSeesSEUAndRestore(t *testing.T) {
+	net := newTestNet(940)
+	golden, err := NewGolden(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 16, 16)
+	for i := range x.Data() {
+		x.Data()[i] = float32(i%7) / 7
+	}
+	probe := NetProbe{Net: net}
+	net.BeginFrame()
+	defer net.EndFrame()
+	clean := probe.Logits(x)
+	if err := InjectSEU(net, 40, 941); err != nil {
+		t.Fatal(err)
+	}
+	faulty := probe.Logits(x)
+	if slices.Equal(faulty, clean) {
+		t.Fatal("probe inside the frame scope did not see the SEU")
+	}
+	if err := golden.Restore(net); err != nil {
+		t.Fatal(err)
+	}
+	if got := probe.Logits(x); !slices.Equal(got, clean) {
+		t.Fatalf("probe after the golden reload = %v, want the clean %v", got, clean)
 	}
 }
 

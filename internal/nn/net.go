@@ -10,6 +10,24 @@ import (
 // Network is an ordered stack of layers. It caches per-layer activations
 // during Forward so Backward, the explainers, and the feature-based
 // supervisors can consume them. Not safe for concurrent use.
+//
+// Frame scope. Between BeginFrame and EndFrame, Forward memoizes: a call
+// returns the activations of the previous pass, without running any
+// layer, when all of these hold:
+//
+//   - x is the same *tensor.Tensor as the previous pass's input;
+//   - Layers has the same length and backing array as it had then
+//     (fdir.Golden.Restore replaces it);
+//   - Params and SetTraining have not been called since.
+//
+// Anything else recomputes, and BeginFrame and EndFrame both drop the
+// memo. Outside a scope Forward always recomputes, so a caller that
+// mutates its input in place and re-forwards the same pointer (XAI
+// occlusion) sees the new result. Inside a scope the input must not be
+// mutated between passes, and weights written mid-frame must be reached
+// through Params (as fdir.InjectSEU, safety.CorruptWeights and the
+// trainer do) or swapped in as a new Layers slice; a write through a
+// layer's fields alone is not seen until the scope ends.
 type Network struct {
 	// ID names the model in traceability records.
 	ID     string
@@ -17,6 +35,12 @@ type Network struct {
 
 	// activations[0] is the input; activations[i+1] is Layers[i]'s output.
 	activations []*tensor.Tensor
+
+	// scoped is set between BeginFrame and EndFrame. memo reports that
+	// activations may be returned as-is while Layers is still memoLayers.
+	scoped     bool
+	memo       bool
+	memoLayers []Layer
 }
 
 // NewNetwork constructs a network over the given layers.
@@ -34,15 +58,43 @@ func (n *Network) Describe() string {
 	return b.String()
 }
 
+// BeginFrame opens a frame scope (see Network); the first Forward inside
+// it computes, and repeats on the same input reuse that pass.
+func (n *Network) BeginFrame() { n.scoped, n.memo = true, false }
+
+// EndFrame closes the frame scope and drops the memo.
+func (n *Network) EndFrame() { n.scoped, n.memo = false, false }
+
+// dropMemo invalidates the frame memo. It writes only when a memo is
+// held, so read-only callers of Params on a shared network stay
+// race-free outside a scope.
+func (n *Network) dropMemo() {
+	if n.memo {
+		n.memo = false
+	}
+}
+
+// memoHit reports whether the previous pass can stand for Forward(x).
+func (n *Network) memoHit(x *tensor.Tensor) bool {
+	return n.memo && x == n.activations[0] &&
+		len(n.Layers) == len(n.memoLayers) &&
+		(len(n.Layers) == 0 || &n.Layers[0] == &n.memoLayers[0])
+}
+
 // Forward runs the network on one input and returns the final output
-// (typically logits), caching every intermediate activation.
+// (typically logits), caching every intermediate activation. Inside a
+// frame scope a repeat on the same input returns the cached output.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if n.memoHit(x) {
+		return n.activations[len(n.activations)-1]
+	}
 	n.activations = n.activations[:0]
 	n.activations = append(n.activations, x)
 	for _, l := range n.Layers {
 		x = l.Forward(x)
 		n.activations = append(n.activations, x)
 	}
+	n.memo, n.memoLayers = n.scoped, n.Layers
 	return x
 }
 
@@ -67,8 +119,10 @@ func (n *Network) Activation(i int) *tensor.Tensor {
 	return n.activations[i+1]
 }
 
-// Params returns all trainable parameters in layer order.
+// Params returns all trainable parameters in layer order. It drops the
+// frame memo: the caller may write the weights.
 func (n *Network) Params() []*Param {
+	n.dropMemo()
 	var ps []*Param
 	for _, l := range n.Layers {
 		ps = append(ps, l.Params()...)

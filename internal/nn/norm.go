@@ -309,7 +309,9 @@ type trainable interface {
 }
 
 // SetTraining toggles training mode on every mode-aware layer (Dropout).
+// It drops the frame memo, since the mode changes what Forward computes.
 func (n *Network) SetTraining(on bool) {
+	n.dropMemo()
 	for _, l := range n.Layers {
 		if t, ok := l.(trainable); ok {
 			t.SetTraining(on)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"strings"
 	"sync"
@@ -16,6 +17,10 @@ import (
 // deadline + drift spans, so 16 leaves headroom for future stages without
 // any dynamic growth.
 const traceScratch = 16
+
+// traceHashChunk is how many encoded spans Hash feeds the digest per
+// write.
+const traceHashChunk = 64
 
 // SpanRef addresses a span within the currently open frame so later
 // stages can link their cause (verdict → pattern decision → FDIR
@@ -164,6 +169,11 @@ type TraceCtx struct {
 	// package keeps its determinism contract.
 	unit  uint32
 	clock func() uint64
+
+	// Hash state, reused across calls so hashing the ring allocates
+	// nothing but the returned string.
+	hasher  hash.Hash
+	hashBuf [traceHashChunk * spanV2PayloadLen]byte
 }
 
 // NewTraceCtx returns a tracer whose ring holds the last capacity spans
@@ -427,14 +437,30 @@ func (t *TraceCtx) Spans() []TraceSpan {
 // history a downlinked reconstruction claims. The hash always covers
 // the v2 encoding — a v1-only span encodes with 24 zero trailing bytes,
 // so the hash stays deterministic whether or not timing was captured.
+// It encodes the ring in place under the lock, a chunk of spans per
+// digest write, and allocates only the returned string.
 func (t *TraceCtx) Hash() string {
-	h := sha256.New()
-	var buf [spanV2PayloadLen]byte
-	for _, s := range t.Spans() {
-		encodeTraceSpanV2(&buf, s)
-		h.Write(buf[:])
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.hasher == nil {
+		t.hasher = sha256.New()
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h := t.hasher
+	h.Reset()
+	n := uint64(t.held())
+	start := t.next - n
+	k := 0
+	for i := uint64(0); i < n; i++ {
+		encodeTraceSpanV2((*[spanV2PayloadLen]byte)(t.hashBuf[k:]), t.ring[(start+i)%uint64(len(t.ring))])
+		if k += spanV2PayloadLen; k == len(t.hashBuf) {
+			h.Write(t.hashBuf[:])
+			k = 0
+		}
+	}
+	h.Write(t.hashBuf[:k])
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], h.Sum(t.hashBuf[:0]))
+	return string(hexSum[:])
 }
 
 // encodeTraceSpan writes the canonical 31-byte binary encoding of one

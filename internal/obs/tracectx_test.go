@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"testing"
 )
@@ -127,6 +129,59 @@ func TestTraceHashDeterministicAndSensitive(t *testing.T) {
 	}
 	if a.Hash() == c.Hash() {
 		t.Fatal("different histories hash identically")
+	}
+}
+
+// refTraceHash is the ring hash by its definition: SHA-256 over the
+// v2 encoding of Spans(), oldest first.
+func refTraceHash(tc *TraceCtx) string {
+	h := sha256.New()
+	var buf [spanV2PayloadLen]byte
+	for _, s := range tc.Spans() {
+		encodeTraceSpanV2(&buf, s)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTraceHashInPlaceMatchesSpans checks the in-place chunked hash
+// against the definition on wrapped rings, including one whose size is a
+// whole number of hash chunks and one that is not, with v2 timing on.
+func TestTraceHashInPlaceMatchesSpans(t *testing.T) {
+	for _, capacity := range []int{2 * traceHashChunk, 3*traceHashChunk + 7} {
+		tc := NewTraceCtx(capacity)
+		tc.SetUnit(7)
+		tc.SetClock(NewCounterClock())
+		for f := 0; f < capacity; f++ {
+			tc.Begin(f)
+			ref := tc.Child(StageInfer, int32(f), float64(f)/3, 0)
+			tc.Child(StageVote, 1, 0.25, ref)
+			tc.End()
+		}
+		if tc.Total() <= uint64(capacity) {
+			t.Fatalf("capacity %d: ring did not wrap (%d spans)", capacity, tc.Total())
+		}
+		if got, want := tc.Hash(), refTraceHash(tc); got != want {
+			t.Fatalf("capacity %d: in-place hash %s, Spans() hash %s", capacity, got, want)
+		}
+	}
+	if got, want := NewTraceCtx(0).Hash(), refTraceHash(NewTraceCtx(0)); got != want {
+		t.Fatalf("empty ring: in-place hash %s, Spans() hash %s", got, want)
+	}
+}
+
+// TestTraceHashAllocs bounds Hash to the returned string: it must not
+// copy the ring, which Operate re-hashes on every call.
+func TestTraceHashAllocs(t *testing.T) {
+	tc := NewTraceCtx(1024)
+	for f := 0; f < 600; f++ {
+		tc.Begin(f)
+		tc.Child(StageInfer, 1, 0, 0)
+		tc.End()
+	}
+	tc.Hash()
+	if allocs := testing.AllocsPerRun(50, func() { tc.Hash() }); allocs > 1 {
+		t.Fatalf("Hash allocates %v times per call, want at most 1 (the hex string)", allocs)
 	}
 }
 
