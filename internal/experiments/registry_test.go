@@ -5,6 +5,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -83,5 +84,37 @@ func TestRegistryMatchesDocs(t *testing.T) {
 				t.Errorf("%s: documents %s, which is not in the registry", doc.path, id)
 			}
 		}
+	}
+}
+
+// TestVerifySkillMatchesRegistry holds the verify skill's experiment list
+// ("IDs T1…T21, F1…F3") to the registry: every range must expand to
+// registered IDs, and together they must cover the registry exactly.
+func TestVerifySkillMatchesRegistry(t *testing.T) {
+	const path = "../../.claude/skills/verify/SKILL.md"
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	list := regexp.MustCompile(`IDs ([TF]\d+…[TF]\d+(?:, [TF]\d+…[TF]\d+)*)`).FindSubmatch(b)
+	if list == nil {
+		t.Fatalf("%s: no \"IDs X1…Xn, …\" experiment list found — parser drift?", path)
+	}
+	rangeRE := regexp.MustCompile(`^([TF])(\d+)…([TF])(\d+)$`)
+	var listed []string
+	for _, r := range strings.Split(string(list[1]), ", ") {
+		m := rangeRE.FindStringSubmatch(r)
+		lo, _ := strconv.Atoi(m[2])
+		hi, _ := strconv.Atoi(m[4])
+		if m[1] != m[3] || lo > hi {
+			t.Fatalf("%s: malformed range %q", path, r)
+		}
+		for i := lo; i <= hi; i++ {
+			listed = append(listed, m[1]+strconv.Itoa(i))
+		}
+	}
+	sort.Strings(listed)
+	if got, want := strings.Join(listed, " "), strings.Join(IDs(), " "); got != want {
+		t.Fatalf("%s lists experiments\n  %s\nregistry has\n  %s", path, got, want)
 	}
 }

@@ -2,8 +2,6 @@ package fleetnet
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -25,7 +23,7 @@ func newMsgConn(conn net.Conn, timeout time.Duration) *msgConn {
 	return &msgConn{
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 1<<14),
-		rbuf:    make([]byte, 0, msgHeaderLen+dataFixedLen+MaxPayload),
+		rbuf:    make([]byte, 0, msgHeaderLen+maxBodyLen),
 		timeout: timeout,
 	}
 }
@@ -44,10 +42,12 @@ func (c *msgConn) write(m Msg) error {
 	return err
 }
 
-// read assembles one message under the given deadline. A timeout is
-// returned as-is so callers can treat it as idleness rather than a dead
-// link. The returned Msg's Payload aliases the connection's scratch
-// buffer and is only valid until the next read.
+// read assembles one message under the given deadline: the header,
+// then exactly the body length it declares. The kind is left to
+// DecodeMsg, so framing never needs to know what a message carries. A
+// timeout is returned as-is so callers can treat it as idleness rather
+// than a dead link. The returned Msg's Payload aliases the connection's
+// scratch buffer and is only valid until the next read.
 func (c *msgConn) read(timeout time.Duration) (Msg, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return Msg{}, err
@@ -56,39 +56,13 @@ func (c *msgConn) read(timeout time.Duration) (Msg, error) {
 	if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
 		return Msg{}, err
 	}
-	// The header names the kind; the kind fixes how much more to read.
-	var body int
-	switch MsgKind(c.rbuf[3]) {
-	case KindHello:
-		body = helloBodyLen
-	case KindWelcome:
-		body = welcomeBodyLen
-	case KindData, KindAlert, KindHop, KindProfile:
-		body = dataFixedLen
-	case KindAck:
-		body = ackBodyLen
-	default:
-		// Let DecodeMsg produce the canonical corruption error.
-		_, _, err := DecodeMsg(c.rbuf)
-		if err == nil {
-			err = fmt.Errorf("%w: unreadable kind %d", ErrLinkCorrupt, c.rbuf[3])
-		}
+	blen, err := decodeHeader(c.rbuf)
+	if err != nil {
 		return Msg{}, err
 	}
-	c.rbuf = c.rbuf[:msgHeaderLen+body]
+	c.rbuf = c.rbuf[:msgHeaderLen+blen]
 	if _, err := io.ReadFull(c.br, c.rbuf[msgHeaderLen:]); err != nil {
 		return Msg{}, err
-	}
-	if k := MsgKind(c.rbuf[3]); k == KindData || k == KindAlert || k == KindHop || k == KindProfile {
-		plen := int(binary.LittleEndian.Uint16(c.rbuf[msgHeaderLen+12:]))
-		if plen > MaxPayload {
-			return Msg{}, fmt.Errorf("%w: payload %d bytes exceeds bound %d", ErrLinkCorrupt, plen, MaxPayload)
-		}
-		n := len(c.rbuf)
-		c.rbuf = c.rbuf[:n+plen]
-		if _, err := io.ReadFull(c.br, c.rbuf[n:]); err != nil {
-			return Msg{}, err
-		}
 	}
 	m, _, err := DecodeMsg(c.rbuf)
 	return m, err

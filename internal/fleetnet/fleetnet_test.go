@@ -3,7 +3,11 @@ package fleetnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"net"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -11,6 +15,8 @@ import (
 	"safexplain/internal/fleet"
 	"safexplain/internal/obs"
 	"safexplain/internal/prng"
+	"safexplain/internal/prof"
+	"safexplain/internal/tracequery"
 )
 
 // unitStream builds one unit's synthetic downlink capture: an infer span
@@ -114,59 +120,147 @@ func closeNode(t *testing.T, n *Node) {
 	}
 }
 
-func TestMsgRoundTrip(t *testing.T) {
-	msgs := []Msg{
+// envMsg wraps one envelope as a tier-link message.
+func envMsg(seq uint64, sub Sub, id uint32, payload []byte) Msg {
+	return Msg{Kind: KindEnv, Env: Envelope{Seq: seq, Sub: sub, ID: id, Payload: payload}}
+}
+
+// sameMsg compares two messages field by field, payloads by content (a
+// decoded empty payload is empty, not nil).
+func sameMsg(a, b Msg) bool {
+	pa, pb := a.Env.Payload, b.Env.Payload
+	a.Env.Payload, b.Env.Payload = nil, nil
+	return reflect.DeepEqual(a, b) && bytes.Equal(pa, pb)
+}
+
+// wireMsgs is one message of every kind and every envelope subtype, with
+// empty, realistic and MaxPayload-sized payloads.
+func wireMsgs(t *testing.T) []Msg {
+	t.Helper()
+	hop := tracequery.EncodeHop(tracequery.Hop{Unit: 9, Frame: 4, Node: 100, Tier: "region", Ingest: 11, Relay: 12})
+	src := unitProfile(t, "u1", 700)
+	rec, err := prof.AppendSiteRecord(nil, src.BlockSize, 1, src.Sites[1])
+	if err != nil {
+		t.Fatalf("AppendSiteRecord: %v", err)
+	}
+	full := bytes.Repeat([]byte{0xa5}, MaxPayload)
+	return []Msg{
 		{Kind: KindHello, Node: 42, Tier: TierRegion},
 		{Kind: KindWelcome, Ack: 1<<40 + 7},
-		{Kind: KindData, Seq: 9001, Unit: 17, Payload: []byte("frame-bytes")},
-		{Kind: KindData, Seq: 1, Unit: -3, Payload: nil},
 		{Kind: KindAck, Ack: 12345},
-		{Kind: KindAlert, Seq: 77, Node: 3, Payload: []byte(`{"origin":"unit-3"}`)},
-		{Kind: KindAlert, Seq: 1, Node: 0, Payload: nil},
+		envMsg(9001, SubData, 17, []byte("frame-bytes")),
+		envMsg(1, SubData, uint32(0xfffffffd), nil), // unit -3
+		envMsg(2, SubData, 5, full),
+		envMsg(77, SubAlert, 3, []byte(`{"origin":"unit-3"}`)),
+		envMsg(3, SubAlert, 0, nil),
+		envMsg(4, SubAlert, 1, full),
+		envMsg(5, SubHop, 100, hop),
+		envMsg(6, SubHop, 100, nil),
+		envMsg(7, SubHop, 2, full),
+		envMsg(9, SubProfile, 7, rec),
+		envMsg(10, SubProfile, 7, nil),
+		envMsg(11, SubProfile, 8, full),
 	}
-	for _, want := range msgs {
+}
+
+func TestMsgRoundTrip(t *testing.T) {
+	for _, want := range wireMsgs(t) {
 		enc := AppendMsg(nil, want)
 		got, n, err := DecodeMsg(enc)
 		if err != nil {
-			t.Fatalf("%v: decode: %v", want.Kind, err)
+			t.Fatalf("%v/%d: decode: %v", want.Kind, want.Env.Sub, err)
 		}
 		if n != len(enc) {
-			t.Fatalf("%v: consumed %d of %d bytes", want.Kind, n, len(enc))
+			t.Fatalf("%v/%d: consumed %d of %d bytes", want.Kind, want.Env.Sub, n, len(enc))
 		}
-		if got.Kind != want.Kind || got.Node != want.Node || got.Tier != want.Tier ||
-			got.Ack != want.Ack || got.Seq != want.Seq || got.Unit != want.Unit ||
-			!bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("%v: round trip %+v != %+v", want.Kind, got, want)
+		if !sameMsg(got, want) {
+			t.Fatalf("%v/%d: round trip %+v != %+v", want.Kind, want.Env.Sub, got, want)
 		}
 	}
 }
 
+// TestConnFraming writes every kind and subtype back to back through one
+// msgConn over a pipe and reads them back: framing must assemble each
+// message from its header alone, whatever it carries.
+func TestConnFraming(t *testing.T) {
+	msgs := wireMsgs(t)
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	defer sc.Close()
+	go func() {
+		mc := newMsgConn(cc, time.Second)
+		for _, m := range msgs {
+			if mc.write(m) != nil {
+				return
+			}
+		}
+	}()
+	mc := newMsgConn(sc, time.Second)
+	for i, want := range msgs {
+		got, err := mc.read(2 * time.Second)
+		if err != nil {
+			t.Fatalf("message %d (%v/%d): read: %v", i, want.Kind, want.Env.Sub, err)
+		}
+		if !sameMsg(got, want) {
+			t.Fatalf("message %d: read %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestConnRejectsOversizedLength sends only a header whose declared body
+// length exceeds the bound: the reader must fail at once with
+// ErrLinkCorrupt instead of waiting for a body that is not coming.
+func TestConnRejectsOversizedLength(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	defer sc.Close()
+	hdr := []byte{linkMagic0, linkMagic1, linkVersion, byte(KindEnv), 0, 0}
+	binary.LittleEndian.PutUint16(hdr[4:], maxBodyLen+1)
+	go cc.Write(hdr)
+	start := time.Now()
+	_, err := newMsgConn(sc, time.Second).read(10 * time.Second)
+	if !errors.Is(err, ErrLinkCorrupt) {
+		t.Fatalf("read = %v, want ErrLinkCorrupt", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("read took %v; it must not wait for the body", d)
+	}
+}
+
 func TestDecodeMsgCorrupt(t *testing.T) {
-	valid := AppendMsg(nil, Msg{Kind: KindData, Seq: 5, Unit: 2, Payload: []byte("abc")})
+	valid := AppendMsg(nil, envMsg(5, SubData, 2, []byte("abc")))
 	for cut := 0; cut < len(valid); cut++ {
 		if _, _, err := DecodeMsg(valid[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded", cut)
 		}
 	}
+	hello := AppendMsg(nil, Msg{Kind: KindHello, Node: 1, Tier: TierUnit})
 	for _, mut := range []struct {
 		name string
+		msg  []byte
 		at   int
 		to   byte
 	}{
-		{"magic0", 0, 'X'}, {"magic1", 1, 'X'}, {"version", 2, 0x7f}, {"kind", 3, 0xee},
+		{"magic0", valid, 0, 'X'},
+		{"magic1", valid, 1, 'X'},
+		{"version", valid, 2, 0x7f},
+		{"kind", valid, 3, 0xee},
+		{"length", valid, 4, valid[4] + 1},                           // declares a byte more than the input holds
+		{"fixed-kind length", append(hello, 0), 4, helloBodyLen + 1}, // a hello must declare exactly 5
+		{"subtype", valid, msgHeaderLen + 8, 0xee},
+		{"zero subtype", valid, msgHeaderLen + 8, 0},
 	} {
-		b := append([]byte(nil), valid...)
+		b := append([]byte(nil), mut.msg...)
 		b[mut.at] = mut.to
-		if _, _, err := DecodeMsg(b); err == nil {
-			t.Fatalf("%s corruption decoded", mut.name)
+		if _, _, err := DecodeMsg(b); !errors.Is(err, ErrLinkCorrupt) {
+			t.Fatalf("%s corruption: err = %v, want ErrLinkCorrupt", mut.name, err)
 		}
 	}
-	// A declared payload length past the bound must be rejected, not read.
+	// A declared body length past the bound must be rejected, not read.
 	b := append([]byte(nil), valid...)
-	b[msgHeaderLen+12] = 0xff
-	b[msgHeaderLen+13] = 0xff
+	b[4], b[5] = 0xff, 0xff
 	if _, _, err := DecodeMsg(b); err == nil {
-		t.Fatal("oversized payload length decoded")
+		t.Fatal("oversized body length decoded")
 	}
 }
 
@@ -230,37 +324,74 @@ func TestLinkDelivery(t *testing.T) {
 	}
 }
 
-// TestReconnectResume kills the link mid-stream (twice) and asserts the
-// resume handshake recovers every frame exactly once: the merged report
-// matches the fault-free baseline byte-for-byte — a lost frame would
-// show in the counts, a duplicated one too.
+// TestReconnectResume kills the link mid-stream (twice) while telemetry,
+// trace hops and profile records share the one sequence space, and
+// asserts the resume handshake recovers every envelope exactly once: the
+// merged report matches the fault-free baseline byte-for-byte — a lost
+// frame would show in the counts, a duplicated one too — and the
+// parent's trace store and merged profile equal an uncut run's.
 func TestReconnectResume(t *testing.T) {
 	streams := map[fleet.UnitID][]byte{7: unitStream(7, 60, 9)}
-	parent := NewNode(testLink(NodeConfig{ID: 100, Tier: TierGlobal}))
-	cfg := testLink(NodeConfig{ID: 7, Tier: TierUnit})
-	cfg.Dial = CutDial(pipeDial(parent), 700, 900)
-	n := NewNode(cfg)
-	submitAll(n, 7, streams[7])
-	drain(t, n)
-	st, ok := n.UplinkStatus()
-	if !ok {
-		t.Fatal("unit node has no uplink")
+	profiles := []prof.Report{unitProfile(t, "u7", 300), unitProfile(t, "u7", 500), unitProfile(t, "u7", 900)}
+	type result struct {
+		report, traces, profile []byte
+		uplink                  UplinkStatus
+		links                   []ChildStatus
 	}
-	if st.Resumes < 2 {
-		t.Fatalf("resumes = %d, want >= 2 (two injected cuts)", st.Resumes)
+	run := func(cuts ...int) result {
+		// One counter clock per node: each node stamps its hops in its
+		// own sequence order, so the ticks repeat run to run.
+		parent := NewNode(testLink(NodeConfig{ID: 100, Tier: TierGlobal, Clock: obs.NewCounterClock()}))
+		cfg := testLink(NodeConfig{ID: 7, Tier: TierUnit, Clock: obs.NewCounterClock()})
+		cfg.Dial = CutDial(pipeDial(parent), cuts...)
+		n := NewNode(cfg)
+		for i, chunk := range fleet.SplitFrames(streams[7]) {
+			n.Submit(7, chunk)
+			if p := i / 20; i%20 == 19 && p < len(profiles) {
+				n.SubmitProfile(profiles[p])
+			}
+		}
+		drain(t, n)
+		st, ok := n.UplinkStatus()
+		if !ok {
+			t.Fatal("unit node has no uplink")
+		}
+		closeNode(t, n)
+		closeNode(t, parent)
+		traces, err := json.Marshal(parent.Traces().Bundles())
+		if err != nil {
+			t.Fatalf("traces: %v", err)
+		}
+		rep, ok := parent.ProfileReport()
+		if !ok {
+			t.Fatal("parent holds no profile")
+		}
+		profile, err := rep.Encode()
+		if err != nil {
+			t.Fatalf("profile: %v", err)
+		}
+		return result{canonicalReport(t, parent.Fleet()), traces, profile, st, parent.Coverage().Links}
 	}
-	if st.Drops != 0 {
-		t.Fatalf("uplink drops = %d, want 0", st.Drops)
+	cut, clean := run(700, 900), run()
+	if cut.uplink.Resumes < 2 {
+		t.Fatalf("resumes = %d, want >= 2 (two injected cuts)", cut.uplink.Resumes)
 	}
-	closeNode(t, n)
-	closeNode(t, parent)
-	for _, c := range parent.Coverage().Links {
-		if c.Lost != 0 {
-			t.Fatalf("link %d declared %d frames lost; resume must recover all", c.Node, c.Lost)
+	if cut.uplink.Drops != 0 {
+		t.Fatalf("uplink drops = %d, want 0", cut.uplink.Drops)
+	}
+	for _, c := range cut.links {
+		if c.Lost != 0 || c.Dups != 0 {
+			t.Fatalf("link %d: %d lost, %d dups; resume must recover every envelope once", c.Node, c.Lost, c.Dups)
 		}
 	}
-	if got, want := canonicalReport(t, parent.Fleet()), flatBaseline(t, streams); !bytes.Equal(got, want) {
-		t.Fatalf("report after reconnect/resume diverges from baseline:\n%s\n-- vs --\n%s", got, want)
+	if want := flatBaseline(t, streams); !bytes.Equal(cut.report, want) {
+		t.Fatalf("report after reconnect/resume diverges from baseline:\n%s\n-- vs --\n%s", cut.report, want)
+	}
+	if !bytes.Equal(cut.traces, clean.traces) {
+		t.Fatalf("trace store after reconnect/resume diverges from the uncut run:\n%s\n-- vs --\n%s", cut.traces, clean.traces)
+	}
+	if !bytes.Equal(cut.profile, clean.profile) {
+		t.Fatalf("merged profile after reconnect/resume diverges from the uncut run:\n%s\n-- vs --\n%s", cut.profile, clean.profile)
 	}
 }
 
@@ -374,7 +505,7 @@ func TestUplinkOverflow(t *testing.T) {
 	defer u.Close()
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if u.Send(9, []byte("frame")) {
+		if u.Send(SubData, 9, []byte("frame")) {
 			accepted++
 		}
 	}

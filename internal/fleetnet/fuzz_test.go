@@ -3,6 +3,8 @@ package fleetnet
 import (
 	"bytes"
 	"testing"
+
+	"safexplain/internal/tracequery"
 )
 
 // FuzzTierDecode drives the tier-link message decoder with arbitrary
@@ -12,11 +14,15 @@ import (
 func FuzzTierDecode(f *testing.F) {
 	f.Add(AppendMsg(nil, Msg{Kind: KindHello, Node: 7, Tier: TierUnit}))
 	f.Add(AppendMsg(nil, Msg{Kind: KindWelcome, Ack: 42}))
-	f.Add(AppendMsg(nil, Msg{Kind: KindData, Seq: 3, Unit: 9, Payload: []byte("frame")}))
+	f.Add(AppendMsg(nil, envMsg(3, SubData, 9, []byte("frame"))))
 	f.Add(AppendMsg(nil, Msg{Kind: KindAck, Ack: 11}))
-	f.Add(AppendMsg(nil, Msg{Kind: KindAlert, Seq: 5, Node: 12, Payload: []byte(`{"origin":"n12"}`)}))
+	f.Add(AppendMsg(nil, envMsg(5, SubAlert, 12, []byte(`{"origin":"n12"}`))))
 	f.Add([]byte{})
-	f.Add([]byte{linkMagic0, linkMagic1, linkVersion, byte(KindData), 0xff, 0xff})
+	// A header declaring a body far above the bound.
+	f.Add([]byte{linkMagic0, linkMagic1, linkVersion, byte(KindEnv), 0xff, 0xff})
+	f.Add(AppendMsg(nil, envMsg(6, SubHop, 100, tracequery.EncodeHop(tracequery.Hop{Unit: 1, Frame: 2, Node: 100, Tier: "region", Ingest: 3, Relay: 4}))))
+	f.Add(AppendMsg(nil, envMsg(7, SubProfile, 8, []byte("site-record"))))
+	f.Add(AppendMsg(nil, envMsg(8, SubData, 1, make([]byte, MaxPayload))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeMsg(data)

@@ -147,9 +147,9 @@ func TestHopRelayUntracedParent(t *testing.T) {
 	}
 }
 
-// TestHopEnvelopeRoundTrip pins the KindHop tier-link framing: a hop
-// message survives AppendMsg → msgConn read byte-exactly — the
-// regression that once broke every traced session on its first hop.
+// TestHopEnvelopeRoundTrip pins the hop tier-link framing: a SubHop
+// envelope survives msgConn write → read byte-exactly — the regression
+// that once broke every traced session on its first hop.
 func TestHopEnvelopeRoundTrip(t *testing.T) {
 	hop := tracequery.EncodeHop(tracequery.Hop{
 		Unit: 9, Frame: 4, Node: 100, Tier: "region", Ingest: 11, Relay: 12,
@@ -159,17 +159,17 @@ func TestHopEnvelopeRoundTrip(t *testing.T) {
 	defer s.Close()
 	go func() {
 		mc := newMsgConn(c, time.Second)
-		mc.write(Msg{Kind: KindHop, Seq: 5, Node: 100, Payload: hop})
+		mc.write(envMsg(5, SubHop, 100, hop))
 	}()
 	mc := newMsgConn(s, time.Second)
 	m, err := mc.read(2 * time.Second)
 	if err != nil {
 		t.Fatalf("reading hop envelope: %v", err)
 	}
-	if m.Kind != KindHop || m.Seq != 5 || m.Node != 100 {
+	if m.Kind != KindEnv || m.Env.Sub != SubHop || m.Env.Seq != 5 || m.Env.ID != 100 {
 		t.Fatalf("decoded envelope = %+v", m)
 	}
-	got, err := tracequery.DecodeHop(m.Payload)
+	got, err := tracequery.DecodeHop(m.Env.Payload)
 	if err != nil {
 		t.Fatalf("decoding hop payload: %v", err)
 	}

@@ -174,14 +174,11 @@ func NewNode(cfg NodeConfig) *Node {
 	// the same registry the watcher samples.
 	n.self = obs.NewSelfStats(reg)
 	n.srv = NewServer(ServerConfig{
-		Apply:        n.apply,
-		ApplyAlert:   n.applyAlert,
-		ApplyHop:     n.applyHop,
-		ApplyProfile: n.applyProfile,
-		Window:       cfg.Window,
-		AckEvery:     cfg.AckEvery,
-		IOTimeout:    cfg.IOTimeout,
-		OnEvent:      n.onEvent,
+		Apply:     n.dispatch,
+		Window:    cfg.Window,
+		AckEvery:  cfg.AckEvery,
+		IOTimeout: cfg.IOTimeout,
+		OnEvent:   n.onEvent,
 	})
 	if cfg.Dial != nil {
 		n.up = NewUplink(UplinkConfig{
@@ -220,36 +217,50 @@ func (n *Node) onEvent(ev LinkEvent) {
 	n.journal.Record(int(ev.Node), obs.StageLink, int32(ev.Kind), float64(ev.Seq))
 }
 
-// apply receives one in-sequence child envelope: ingest into the subtree
-// aggregator, relay upward when a parent exists. The payload is owned
-// here (the server copies per envelope), so both consumers may retain it.
-func (n *Node) apply(_ uint32, unit fleet.UnitID, payload []byte) {
-	n.cApplied.Inc()
-	ingest := n.tick()
-	n.agg.Ingest(unit, payload)
-	n.relay(unit, payload)
-	n.stampHop(unit, payload, ingest)
+// dispatch receives one in-sequence child envelope and hands it to its
+// subtype's consumer. The payload is owned here (the server copies per
+// envelope), so consumers may retain it. This is the only place on the
+// tier link that looks at an envelope's subtype.
+func (n *Node) dispatch(_ uint32, e Envelope) {
+	switch e.Sub {
+	case SubData:
+		n.apply(fleet.UnitID(int32(e.ID)), e.Payload)
+	case SubAlert:
+		n.applyAlert(e.ID, e.Payload)
+	case SubHop:
+		n.applyHop(e.ID, e.Payload)
+	case SubProfile:
+		n.applyProfile(e.ID, e.Payload)
+	}
 }
 
 // Submit feeds one locally produced telemetry frame — the unit tier's
 // entry point. The frame is copied; callers may reuse the buffer.
 func (n *Node) Submit(unit fleet.UnitID, frame []byte) {
-	payload := append([]byte(nil), frame...)
+	n.apply(unit, append([]byte(nil), frame...))
+}
+
+// apply takes one owned telemetry frame: ingest into the subtree
+// aggregator, relay upward when a parent exists, stamp the trace hop.
+func (n *Node) apply(unit fleet.UnitID, payload []byte) {
 	n.cApplied.Inc()
 	ingest := n.tick()
 	n.agg.Ingest(unit, payload)
-	n.relay(unit, payload)
+	n.relay(SubData, uint32(unit), payload, n.cRelayed, n.cRelayDr)
 	n.stampHop(unit, payload, ingest)
 }
 
-func (n *Node) relay(unit fleet.UnitID, payload []byte) {
+// relay forwards one envelope to the parent tier, counting it on sent
+// (when non-nil) or on dropped when the uplink ring is full. No-op on
+// the global root.
+func (n *Node) relay(sub Sub, id uint32, payload []byte, sent, dropped *obs.Counter) {
 	if n.up == nil {
 		return
 	}
-	if n.up.Send(unit, payload) {
-		n.cRelayed.Inc()
-	} else {
-		n.cRelayDr.Inc()
+	if !n.up.Send(sub, id, payload) {
+		dropped.Inc()
+	} else if sent != nil {
+		sent.Inc()
 	}
 }
 
@@ -287,11 +298,8 @@ func (n *Node) stampHop(unit fleet.UnitID, payload []byte, ingest uint64) {
 	n.cHops.Inc()
 	n.traces.AddHop(h)
 	_ = n.traces.IngestFrame(payload) // corrupt frames already counted by fleet ingest
-	if n.up == nil {
-		return
-	}
-	if !n.up.SendHop(n.cfg.ID, tracequery.EncodeHop(h)) {
-		n.cHopDrops.Inc()
+	if n.up != nil {
+		n.relay(SubHop, n.cfg.ID, tracequery.EncodeHop(h), nil, n.cHopDrops)
 	}
 }
 
@@ -301,7 +309,7 @@ func (n *Node) stampHop(unit fleet.UnitID, payload []byte, ingest uint64) {
 // (and counted) when tracing is off at this node — they are
 // diagnostics, not evidence, so a dark relay tier costs attribution
 // detail, never correctness.
-func (n *Node) applyHop(_ uint32, origin uint32, payload []byte) {
+func (n *Node) applyHop(origin uint32, payload []byte) {
 	if n.traces == nil {
 		n.cHopDrops.Inc()
 		return
@@ -313,12 +321,7 @@ func (n *Node) applyHop(_ uint32, origin uint32, payload []byte) {
 	}
 	n.cHops.Inc()
 	n.traces.AddHop(h)
-	if n.up == nil {
-		return
-	}
-	if !n.up.SendHop(origin, payload) {
-		n.cHopDrops.Inc()
-	}
+	n.relay(SubHop, origin, payload, nil, n.cHopDrops)
 }
 
 // Traces exposes the node's trace store (nil with tracing off).
@@ -473,31 +476,20 @@ func (n *Node) onOwnAlert(a watch.Alert) {
 		n.cWatchDrops.Inc()
 		return
 	}
-	if n.up.SendAlert(n.cfg.ID, blob) {
-		n.cWatchRelayed.Inc()
-	} else {
-		n.cWatchDrops.Inc()
-	}
+	n.relay(SubAlert, n.cfg.ID, blob, n.cWatchRelayed, n.cWatchDrops)
 }
 
 // applyAlert receives one relayed alert from a child link: authenticate
 // the evidence hash, retain it, and forward the original payload upward
 // so the bytes — and therefore the hash — are identical at every tier.
-func (n *Node) applyAlert(_ uint32, origin uint32, payload []byte) {
+func (n *Node) applyAlert(origin uint32, payload []byte) {
 	a, err := watch.DecodeAlert(payload)
 	if err != nil {
 		n.cWatchDrops.Inc()
 		return
 	}
 	n.ledgerAdd(a)
-	if n.up == nil {
-		return
-	}
-	if n.up.SendAlert(origin, payload) {
-		n.cWatchRelayed.Inc()
-	} else {
-		n.cWatchDrops.Inc()
-	}
+	n.relay(SubAlert, origin, payload, n.cWatchRelayed, n.cWatchDrops)
 }
 
 // ledgerAdd retains one alert in the bounded node ledger.

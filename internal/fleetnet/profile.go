@@ -27,7 +27,7 @@ func (n *Node) SubmitProfile(rep prof.Report) int {
 		if n.ingestProfile(i, rep.BlockSize, rep.Sites[i]) {
 			accepted++
 		}
-		n.relayProfile(n.cfg.ID, blob)
+		n.relay(SubProfile, n.cfg.ID, blob, nil, n.cProfDrops)
 	}
 	return accepted
 }
@@ -35,25 +35,14 @@ func (n *Node) SubmitProfile(rep prof.Report) int {
 // applyProfile receives one relayed profile record from a child link:
 // merge it into the slot store and forward the original payload upward
 // unchanged, so every ancestor tier merges the identical bytes.
-func (n *Node) applyProfile(_ uint32, origin uint32, payload []byte) {
+func (n *Node) applyProfile(origin uint32, payload []byte) {
 	idx, blockSize, site, err := prof.DecodeSiteRecord(payload)
 	if err != nil {
 		n.cProfDrops.Inc()
 		return
 	}
 	n.ingestProfile(idx, blockSize, site)
-	n.relayProfile(origin, payload)
-}
-
-// relayProfile forwards one profile record to the parent tier (no-op on
-// the global root).
-func (n *Node) relayProfile(origin uint32, payload []byte) {
-	if n.up == nil {
-		return
-	}
-	if !n.up.SendProfile(origin, payload) {
-		n.cProfDrops.Inc()
-	}
+	n.relay(SubProfile, origin, payload, nil, n.cProfDrops)
 }
 
 // ingestProfile merges one site record into the bounded slot store.
@@ -95,7 +84,10 @@ func (n *Node) ingestProfileLocked(idx, blockSize int, site prof.SiteReport) boo
 			return false
 		}
 	} else {
+		// Merge adds into Buckets in place: own them, so later merges
+		// never write through to a submitted report.
 		s := site
+		s.Buckets = append([]uint64(nil), site.Buckets...)
 		n.profSlots[idx] = &s
 	}
 	if site.Budget > 0 {

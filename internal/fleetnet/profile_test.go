@@ -136,11 +136,35 @@ func TestProfileIngestDriftRejected(t *testing.T) {
 	}
 }
 
-// TestProfileConnFraming round-trips a KindProfile envelope through
+// TestSubmitProfileLeavesReportUnchanged submits one report twice to a
+// node: the second merge must land in the node's own slot store, not
+// write through to the caller's report.
+func TestSubmitProfileLeavesReportUnchanged(t *testing.T) {
+	n := NewNode(NodeConfig{ID: 1, Tier: TierGlobal, Fleet: fleet.Config{Shards: 1}})
+	src := unitProfile(t, "u1", 500)
+	before, err := src.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	n.SubmitProfile(src)
+	n.SubmitProfile(src)
+	after, err := src.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("SubmitProfile changed the submitted report")
+	}
+	rep, _ := n.ProfileReport()
+	if got, want := rep.Sites[0].Count, 2*src.Sites[0].Count; got != want {
+		t.Fatalf("merged count = %d, want %d", got, want)
+	}
+}
+
+// TestProfileConnFraming round-trips a SubProfile envelope through
 // msgConn over a pipe — a regression test for the framing reader, which
-// must know the profile body layout to assemble the message at all
-// (a miss here kills the session on the first profile record and the
-// child replays it forever).
+// must assemble the message from its header alone (a miss here kills the
+// session on the first profile record and the child replays it forever).
 func TestProfileConnFraming(t *testing.T) {
 	src := unitProfile(t, "u1", 700)
 	blob, err := prof.AppendSiteRecord(nil, src.BlockSize, 1, src.Sites[1])
@@ -152,16 +176,16 @@ func TestProfileConnFraming(t *testing.T) {
 	defer sc.Close()
 	go func() {
 		mc := newMsgConn(cc, time.Second)
-		mc.write(Msg{Kind: KindProfile, Seq: 9, Node: 7, Payload: blob})
+		mc.write(envMsg(9, SubProfile, 7, blob))
 	}()
 	m, err := newMsgConn(sc, time.Second).read(time.Second)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if m.Kind != KindProfile || m.Seq != 9 || m.Node != 7 {
-		t.Fatalf("read %v seq=%d node=%d, want profile seq=9 node=7", m.Kind, m.Seq, m.Node)
+	if m.Kind != KindEnv || m.Env.Sub != SubProfile || m.Env.Seq != 9 || m.Env.ID != 7 {
+		t.Fatalf("read %+v, want profile envelope seq=9 id=7", m)
 	}
-	idx, blockSize, site, err := prof.DecodeSiteRecord(m.Payload)
+	idx, blockSize, site, err := prof.DecodeSiteRecord(m.Env.Payload)
 	if err != nil {
 		t.Fatalf("DecodeSiteRecord: %v", err)
 	}

@@ -5,32 +5,15 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"safexplain/internal/fleet"
 )
 
 // ServerConfig sizes the parent end of tier links. Zero values get
 // defaults.
 type ServerConfig struct {
-	// Apply receives each child data envelope exactly once, in sequence
-	// order per child. The payload is owned by the callee. Required.
-	Apply func(node uint32, unit fleet.UnitID, payload []byte)
-	// ApplyAlert receives each relayed watch alert exactly once, in the
-	// same per-child sequence order as data (alerts share the sequence
-	// space). node is the directly-connected child, origin the node the
-	// alert originated on. Optional: nil drops relayed alerts.
-	ApplyAlert func(node uint32, origin uint32, payload []byte)
-	// ApplyHop receives each relayed trace hop record exactly once, in
-	// the same per-child sequence order as data (hops share the sequence
-	// space). node is the directly-connected child, origin the node that
-	// stamped the hop. Optional: nil drops relayed hops.
-	ApplyHop func(node uint32, origin uint32, payload []byte)
-	// ApplyProfile receives each relayed per-site profile record exactly
-	// once, in the same per-child sequence order as data (profile records
-	// share the sequence space). node is the directly-connected child,
-	// origin the node whose profiler produced the record. Optional: nil
-	// drops relayed profile records.
-	ApplyProfile func(node uint32, origin uint32, payload []byte)
+	// Apply receives each child envelope exactly once, in sequence
+	// order per child; node is the directly-connected child. The payload
+	// is owned by the callee. Required.
+	Apply func(node uint32, e Envelope)
 	// Window bounds the per-child resequencing buffer (default 256
 	// envelopes). A sequence gap still open when the buffer fills is
 	// declared lost and skipped — the subtree never stalls on one
@@ -61,14 +44,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// pendEnv is one out-of-order envelope held for resequencing.
-type pendEnv struct {
-	kind    MsgKind
-	unit    fleet.UnitID // KindData
-	node    uint32       // KindAlert/KindProfile: origin node id; KindHop: stamping node id
-	payload []byte
-}
-
 // child is the parent's per-link state: the cumulative applied sequence
 // the resume handshake reports, the resequencing buffer, and loss/dup
 // accounting. It outlives any one connection.
@@ -80,7 +55,7 @@ type child struct {
 	conn      net.Conn
 	applied   uint64 // cumulative: every seq <= applied has been applied
 	unacked   int    // applied since the last ack was sent
-	pending   map[uint64]pendEnv
+	pending   map[uint64]Envelope
 	lost      uint64 // frames skipped by gap declaration
 	dups      uint64 // frames at or below applied (replays, reorders)
 	sessions  uint64
@@ -186,7 +161,7 @@ func (s *Server) lookup(node uint32, tier Tier) *child {
 	defer s.mu.Unlock()
 	c := s.children[node]
 	if c == nil {
-		c = &child{node: node, tier: tier, pending: make(map[uint64]pendEnv)}
+		c = &child{node: node, tier: tier, pending: make(map[uint64]Envelope)}
 		s.children[node] = c
 	}
 	c.tier = tier
@@ -245,10 +220,10 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		if m.Kind != KindData && m.Kind != KindAlert && m.Kind != KindHop && m.Kind != KindProfile {
+		if m.Kind != KindEnv {
 			continue
 		}
-		s.ingest(c, m)
+		s.ingest(c, m.Env)
 		// Ack on cadence, or immediately once the inbound pipe drains —
 		// bulk replays ack in batches, trickles ack per frame.
 		c.mu.Lock()
@@ -264,29 +239,31 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// ingest applies one data envelope: duplicates below the cumulative
-// point are dropped, in-order frames apply immediately and drain the
-// resequencing buffer behind them, and out-of-order frames wait in the
-// bounded window — overflowing it declares the gap lost and moves on.
-func (s *Server) ingest(c *child, m Msg) {
+// ingest applies one envelope: duplicates below the cumulative point
+// are dropped, in-order envelopes apply immediately and drain the
+// resequencing buffer behind them, and out-of-order envelopes wait in
+// the bounded window — overflowing it declares the gap lost and moves
+// on. e.Payload aliases the read buffer; whatever is kept is a copy.
+func (s *Server) ingest(c *child, e Envelope) {
 	c.mu.Lock()
 	c.lastFrame = time.Now()
 	switch {
-	case m.Seq <= c.applied:
+	case e.Seq <= c.applied:
 		c.dups++
 		c.mu.Unlock()
 		return
-	case m.Seq == c.applied+1:
-		e := pendEnv{kind: m.Kind, unit: m.Unit, node: m.Node, payload: append([]byte(nil), m.Payload...)}
+	case e.Seq == c.applied+1:
+		e.Payload = append([]byte(nil), e.Payload...)
 		c.applied++
 		c.unacked++
 		c.mu.Unlock()
-		s.applyEnv(c.node, e)
+		s.cfg.Apply(c.node, e)
 		s.drainPending(c)
 		return
 	default:
-		if _, ok := c.pending[m.Seq]; !ok {
-			c.pending[m.Seq] = pendEnv{kind: m.Kind, unit: m.Unit, node: m.Node, payload: append([]byte(nil), m.Payload...)}
+		if _, ok := c.pending[e.Seq]; !ok {
+			e.Payload = append([]byte(nil), e.Payload...)
+			c.pending[e.Seq] = e
 		}
 		if len(c.pending) <= s.cfg.Window {
 			c.mu.Unlock()
@@ -295,7 +272,7 @@ func (s *Server) ingest(c *child, m Msg) {
 		// The window is full and the gap at applied+1 never arrived:
 		// declare everything up to the oldest pending frame lost so the
 		// subtree keeps flowing.
-		oldest := m.Seq
+		oldest := e.Seq
 		for seq := range c.pending {
 			if seq < oldest {
 				oldest = seq
@@ -328,27 +305,7 @@ func (s *Server) drainPending(c *child) {
 		c.applied++
 		c.unacked++
 		c.mu.Unlock()
-		s.applyEnv(c.node, e)
-	}
-}
-
-// applyEnv dispatches one in-sequence envelope to its kind's consumer.
-func (s *Server) applyEnv(node uint32, e pendEnv) {
-	switch e.kind {
-	case KindAlert:
-		if s.cfg.ApplyAlert != nil {
-			s.cfg.ApplyAlert(node, e.node, e.payload)
-		}
-	case KindHop:
-		if s.cfg.ApplyHop != nil {
-			s.cfg.ApplyHop(node, e.node, e.payload)
-		}
-	case KindProfile:
-		if s.cfg.ApplyProfile != nil {
-			s.cfg.ApplyProfile(node, e.node, e.payload)
-		}
-	default:
-		s.cfg.Apply(node, e.unit, e.payload)
+		s.cfg.Apply(c.node, e)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"safexplain/internal/fleet"
 	"safexplain/internal/prng"
 )
 
@@ -63,18 +62,6 @@ func (c UplinkConfig) withDefaults() UplinkConfig {
 	return c
 }
 
-// envelope is one buffered message awaiting acknowledgement: a unit
-// telemetry frame (KindData) or a relayed watch alert (KindAlert). Both
-// kinds share the ring and the sequence space, so the resume handshake
-// replays them in their original interleaving.
-type envelope struct {
-	seq     uint64
-	kind    MsgKind
-	unit    fleet.UnitID // KindData
-	node    uint32       // KindAlert: origin node id
-	payload []byte
-}
-
 // Uplink is the child end of a tier link: a bounded store-and-forward
 // ring of sequenced envelopes, a dial/handshake/stream loop with
 // jittered exponential backoff, and cumulative-ack bookkeeping. Send
@@ -84,7 +71,7 @@ type Uplink struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	ring []envelope
+	ring []Envelope
 	head int    // ring index of headSeq
 	n    int    // envelopes held
 	hseq uint64 // seq of ring[head]; ring holds [hseq, hseq+n)
@@ -108,7 +95,7 @@ func NewUplink(cfg UplinkConfig) *Uplink {
 	cfg = cfg.withDefaults()
 	u := &Uplink{
 		cfg:  cfg,
-		ring: make([]envelope, cfg.Buffer),
+		ring: make([]Envelope, cfg.Buffer),
 		hseq: 1,
 		next: 1,
 		done: make(chan struct{}),
@@ -119,38 +106,13 @@ func NewUplink(cfg UplinkConfig) *Uplink {
 	return u
 }
 
-// Send buffers one unit telemetry frame for uplink, copying the payload.
-// It reports false — and counts a drop — when the ring is full, i.e.
-// this child has outrun a congested or unreachable parent beyond its
-// store-and-forward capacity. Never blocks on the network.
-func (u *Uplink) Send(unit fleet.UnitID, frame []byte) bool {
-	return u.push(envelope{kind: KindData, unit: unit}, frame)
-}
-
-// SendAlert buffers one evidence-hashed watch alert for uplink, copying
-// the payload. origin is the node the alert originated on (preserved
-// across multi-tier relay). Same ring, same drop semantics as Send.
-func (u *Uplink) SendAlert(origin uint32, alert []byte) bool {
-	return u.push(envelope{kind: KindAlert, node: origin}, alert)
-}
-
-// SendHop buffers one trace hop record for uplink, copying the payload.
-// origin is the node that stamped the hop (preserved across multi-tier
-// relay). Same ring, same drop semantics as Send.
-func (u *Uplink) SendHop(origin uint32, hop []byte) bool {
-	return u.push(envelope{kind: KindHop, node: origin}, hop)
-}
-
-// SendProfile buffers one per-site profile record for uplink, copying
-// the payload. origin is the node whose profiler produced the record
-// (preserved across multi-tier relay). Same ring, same drop semantics
-// as Send.
-func (u *Uplink) SendProfile(origin uint32, rec []byte) bool {
-	return u.push(envelope{kind: KindProfile, node: origin}, rec)
-}
-
-// push assigns the next sequence to e and buffers it in the ring.
-func (u *Uplink) push(e envelope, payload []byte) bool {
+// Send buffers one envelope for uplink, copying the payload; sub and id
+// travel with it unread. Every subtype shares the ring and the sequence
+// space, so the resume handshake replays them in their original
+// interleaving. Send reports false — and counts a drop — when the ring
+// is full, i.e. this child has outrun a congested or unreachable parent
+// beyond its store-and-forward capacity. Never blocks on the network.
+func (u *Uplink) Send(sub Sub, id uint32, payload []byte) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.closed {
@@ -164,9 +126,7 @@ func (u *Uplink) push(e envelope, payload []byte) bool {
 		}
 		return false
 	}
-	e.seq = u.next
-	e.payload = append([]byte(nil), payload...)
-	u.ring[(u.head+u.n)%len(u.ring)] = e
+	u.ring[(u.head+u.n)%len(u.ring)] = Envelope{Seq: u.next, Sub: sub, ID: id, Payload: append([]byte(nil), payload...)}
 	u.n++
 	u.next++
 	u.cond.Broadcast()
@@ -177,7 +137,7 @@ func (u *Uplink) push(e envelope, payload []byte) bool {
 // applied. Called with mu held.
 func (u *Uplink) evictAckedLocked() {
 	for u.n > 0 && u.hseq <= u.acked {
-		u.ring[u.head].payload = nil
+		u.ring[u.head].Payload = nil
 		u.head = (u.head + 1) % len(u.ring)
 		u.n--
 		u.hseq++
@@ -374,7 +334,7 @@ func (u *Uplink) session(conn net.Conn) bool {
 	}()
 
 	scramble := prng.New(u.cfg.ScrambleSeed + 1)
-	var batch []envelope
+	var batch []Envelope
 	for {
 		batch = u.nextBatch(cursor, batch[:0])
 		if batch == nil {
@@ -385,7 +345,7 @@ func (u *Uplink) session(conn net.Conn) bool {
 		}
 		ok := true
 		for _, e := range batch {
-			if err := mc.write(Msg{Kind: e.kind, Seq: e.seq, Unit: e.unit, Node: e.node, Payload: e.payload}); err != nil {
+			if err := mc.write(Msg{Kind: KindEnv, Env: e}); err != nil {
 				ok = false
 				break
 			}
@@ -422,7 +382,7 @@ func (u *Uplink) breakSession(conn net.Conn) {
 // returns up to ScrambleWindow of them (all available when not
 // scrambling), appended to dst. Returns nil when the session is over
 // (closed or broken).
-func (u *Uplink) nextBatch(cursor uint64, dst []envelope) []envelope {
+func (u *Uplink) nextBatch(cursor uint64, dst []Envelope) []Envelope {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	for {

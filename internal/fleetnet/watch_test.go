@@ -95,9 +95,9 @@ func TestNodeWatchBindError(t *testing.T) {
 func TestNodeRejectsCorruptAlert(t *testing.T) {
 	n := NewNode(testLink(NodeConfig{ID: 1, Tier: TierUnit}))
 	defer closeNode(t, n)
-	n.applyAlert(0, 5, []byte("not an alert"))
+	n.applyAlert(5, []byte("not an alert"))
 	tampered := []byte(`{"origin":"x","rule":"r","state":"firing","tick":1,"evidence_hash":"deadbeef"}`)
-	n.applyAlert(0, 5, tampered)
+	n.applyAlert(5, tampered)
 	if got := n.Alerts(); len(got) != 0 {
 		t.Fatalf("corrupt alerts entered the ledger: %+v", got)
 	}

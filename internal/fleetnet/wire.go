@@ -39,8 +39,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"safexplain/internal/fleet"
 )
 
 // Tier identifies a node's level in the aggregation tree.
@@ -80,51 +78,39 @@ func ParseTier(s string) (Tier, error) {
 	return 0, fmt.Errorf("fleetnet: unknown tier %q (unit|region|global)", s)
 }
 
-// Tier-link wire format (all little-endian). Every message starts with a
-// fixed 4-byte header; the payload layout depends on the kind:
+// Tier-link wire format (all little-endian). Every message is a 6-byte
+// header that declares its body length, then the body:
 //
-//	header  := 'T' 'L' ver=0x01 kind:u8
-//	hello   := header node:u32 tier:u8                       (child → parent)
-//	welcome := header ack:u64                                (parent → child)
-//	data    := header seq:u64 unit:u32 plen:u16 payload      (child → parent)
-//	ack     := header seq:u64                                (parent → child)
-//	alert   := header seq:u64 node:u32 plen:u16 payload      (child → parent)
-//	hop     := header seq:u64 node:u32 plen:u16 payload      (child → parent)
-//	profile := header seq:u64 node:u32 plen:u16 payload      (child → parent)
+//	msg     := 'T' 'L' ver=0x02 kind:u8 blen:u16 body
+//	hello   := node:u32 tier:u8                   (child → parent)
+//	welcome := ack:u64                            (parent → child)
+//	ack     := ack:u64                            (parent → child)
+//	env     := seq:u64 sub:u8 id:u32 payload      (child → parent)
 //
-// A data payload is one unit telemetry frame in the downlink wire format
-// (obs.DecodeFrame decodes it); the envelope adds the link-local sequence
-// number the resume handshake and ack machinery run on, and the unit the
-// frame belongs to (a region's uplink multiplexes many units). An alert
-// payload is one evidence-hashed watch alert (watch.DecodeAlert decodes
-// and authenticates it); its body is data-shaped — same fixed lengths,
-// same sequence space — with the u32 slot carrying the origin node id,
-// so the store-and-forward ring, resume handshake and resequencing
-// window cover alert relay with no second delivery machinery. A hop
-// payload is one trace hop record (tracequery.DecodeHop decodes it)
-// with the same alert-shaped body — the u32 slot carries the stamping
-// node id — so distributed-trace sidecar records ride the identical
-// delivery machinery while the traced frame bytes themselves are
-// forwarded unchanged. A profile payload is one per-site profile record
-// (prof.DecodeSiteRecord decodes it), again alert-shaped with the u32
-// slot carrying the origin node id: because per-site profile merging is
-// commutative and associative, relaying the records unchanged makes the
-// root's merged profile byte-identical across arrival interleavings.
+// An env carries one sequenced record; sub names the payload and id
+// qualifies it. data: a unit telemetry frame in the downlink wire format
+// (obs.DecodeFrame), id the unit (int32 bits). alert: one evidence-hashed
+// watch alert (watch.DecodeAlert), id the origin node. hop: one trace hop
+// record (tracequery.DecodeHop), id the stamping node. profile: one
+// per-site profile record (prof.DecodeSiteRecord), id the origin node.
+// Every subtype shares the one sequence space, so the store-and-forward
+// ring, resume handshake and resequencing window cover them all; only
+// the node that consumes an envelope looks at sub.
 const (
 	linkMagic0   = 'T'
 	linkMagic1   = 'L'
-	linkVersion  = 0x01
-	msgHeaderLen = 4
+	linkVersion  = 0x02
+	msgHeaderLen = 6 // magic:2 ver:u8 kind:u8 blen:u16
 
-	helloBodyLen   = 5  // node:u32 tier:u8
-	welcomeBodyLen = 8  // ack:u64
-	dataFixedLen   = 14 // seq:u64 unit:u32 plen:u16
-	ackBodyLen     = 8  // seq:u64
+	helloBodyLen = 5  // node:u32 tier:u8
+	ackBodyLen   = 8  // ack:u64 (welcome and ack)
+	envFixedLen  = 13 // seq:u64 sub:u8 id:u32
 
-	// MaxPayload bounds a data envelope's payload — far above any
-	// realistic downlink frame budget, low enough that a corrupt length
-	// cannot make the reader buffer garbage.
+	// MaxPayload bounds an envelope's payload — far above any realistic
+	// downlink frame budget, low enough that a corrupt length cannot make
+	// the reader buffer garbage.
 	MaxPayload = 4096
+	maxBodyLen = envFixedLen + MaxPayload
 )
 
 // MsgKind tags one tier-link message.
@@ -132,14 +118,10 @@ type MsgKind uint8
 
 // Tier-link message kinds.
 const (
-	KindInvalid MsgKind = iota
-	KindHello           // child opens a session: node id + tier
-	KindWelcome         // parent's resume point: last sequence applied
-	KindData            // one sequenced unit telemetry frame
-	KindAck             // parent's cumulative acknowledgement
-	KindAlert           // one sequenced evidence-hashed watch alert
-	KindHop             // one sequenced trace hop record (tracequery wire form)
-	KindProfile         // one sequenced per-site profile record (prof wire form)
+	KindHello   MsgKind = iota + 1 // child opens a session: node id + tier
+	KindWelcome                    // parent's resume point: last sequence applied
+	KindAck                        // parent's cumulative acknowledgement
+	KindEnv                        // one sequenced envelope (see Sub)
 )
 
 // String returns the message kind name.
@@ -149,19 +131,34 @@ func (k MsgKind) String() string {
 		return "hello"
 	case KindWelcome:
 		return "welcome"
-	case KindData:
-		return "data"
 	case KindAck:
 		return "ack"
-	case KindAlert:
-		return "alert"
-	case KindHop:
-		return "hop"
-	case KindProfile:
-		return "profile"
+	case KindEnv:
+		return "env"
 	default:
 		return fmt.Sprintf("MsgKind(%d)", uint8(k))
 	}
+}
+
+// Sub names the payload an envelope carries. The link layer moves it
+// opaquely; Node dispatches on it.
+type Sub uint8
+
+// Envelope subtypes.
+const (
+	SubData    Sub = iota + 1 // unit telemetry frame; ID is the unit
+	SubAlert                  // watch alert; ID is the origin node
+	SubHop                    // trace hop record; ID is the stamping node
+	SubProfile                // prof site record; ID is the origin node
+)
+
+// Envelope is one sequenced record on a tier link — what the uplink ring
+// retains, the parent resequences and Apply receives.
+type Envelope struct {
+	Seq     uint64 // link-local sequence (1-based)
+	Sub     Sub
+	ID      uint32
+	Payload []byte
 }
 
 // Msg is one decoded tier-link message. Only the fields of its kind are
@@ -169,112 +166,112 @@ func (k MsgKind) String() string {
 type Msg struct {
 	Kind MsgKind
 
-	Node uint32 // KindHello: child node id; KindAlert/KindProfile: origin node id; KindHop: stamping node id
+	Node uint32 // KindHello: child node id
 	Tier Tier   // KindHello: child tier
 
 	Ack uint64 // KindWelcome, KindAck: cumulative applied sequence
 
-	Seq     uint64       // KindData, KindAlert, KindHop, KindProfile: link-local sequence (1-based)
-	Unit    fleet.UnitID // KindData: unit the frame belongs to
-	Payload []byte       // KindData: one downlink wire-format frame; KindAlert: one watch alert; KindHop: one trace hop record; KindProfile: one prof site record (aliases the input)
+	Env Envelope // KindEnv (Payload aliases the decoded input)
 }
 
 // ErrLinkCorrupt reports a malformed tier-link message.
 var ErrLinkCorrupt = errors.New("fleetnet: corrupt tier-link message")
 
+// bodyLen is the body length of a kind-k message whose envelope carries
+// plen payload bytes, or -1 for an unknown kind.
+func bodyLen(k MsgKind, plen int) int {
+	switch k {
+	case KindHello:
+		return helloBodyLen
+	case KindWelcome, KindAck:
+		return ackBodyLen
+	case KindEnv:
+		return envFixedLen + plen
+	}
+	return -1
+}
+
 // AppendMsg encodes m onto dst and returns the extended slice.
 func AppendMsg(dst []byte, m Msg) []byte {
+	blen := max(bodyLen(m.Kind, len(m.Env.Payload)), 0)
 	dst = append(dst, linkMagic0, linkMagic1, linkVersion, byte(m.Kind))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(blen))
 	switch m.Kind {
 	case KindHello:
 		dst = binary.LittleEndian.AppendUint32(dst, m.Node)
 		dst = append(dst, byte(m.Tier))
-	case KindWelcome:
+	case KindWelcome, KindAck:
 		dst = binary.LittleEndian.AppendUint64(dst, m.Ack)
-	case KindData:
-		dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Unit))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Payload)))
-		dst = append(dst, m.Payload...)
-	case KindAck:
-		dst = binary.LittleEndian.AppendUint64(dst, m.Ack)
-	case KindAlert, KindHop, KindProfile:
-		dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
-		dst = binary.LittleEndian.AppendUint32(dst, m.Node)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Payload)))
-		dst = append(dst, m.Payload...)
+	case KindEnv:
+		dst = binary.LittleEndian.AppendUint64(dst, m.Env.Seq)
+		dst = append(dst, byte(m.Env.Sub))
+		dst = binary.LittleEndian.AppendUint32(dst, m.Env.ID)
+		dst = append(dst, m.Env.Payload...)
 	}
 	return dst
+}
+
+// decodeHeader checks the fixed header at the head of b and returns the
+// declared body length. It rejects a length above the largest body any
+// kind may carry, so a reader never waits for or buffers more.
+func decodeHeader(b []byte) (int, error) {
+	if len(b) < msgHeaderLen {
+		return 0, fmt.Errorf("%w: %d bytes, need %d for the header", ErrLinkCorrupt, len(b), msgHeaderLen)
+	}
+	if b[0] != linkMagic0 || b[1] != linkMagic1 {
+		return 0, fmt.Errorf("%w: bad magic %#02x%02x", ErrLinkCorrupt, b[0], b[1])
+	}
+	if b[2] != linkVersion {
+		return 0, fmt.Errorf("%w: unknown version %d", ErrLinkCorrupt, b[2])
+	}
+	blen := int(binary.LittleEndian.Uint16(b[4:]))
+	if blen > maxBodyLen {
+		return 0, fmt.Errorf("%w: body %d bytes exceeds bound %d", ErrLinkCorrupt, blen, maxBodyLen)
+	}
+	return blen, nil
 }
 
 // DecodeMsg decodes one tier-link message from the head of b, returning
 // the message, the bytes consumed, and an error on corruption. Like the
 // downlink decoder it is a pure function: bounds-checked throughout, it
-// never panics and never reads past the declared lengths
-// (FuzzTierDecode enforces this). A data message's Payload aliases b.
+// never panics and never reads past the declared length, and the
+// encoding is canonical — every kind must declare exactly its body
+// length (FuzzTierDecode enforces this). An envelope's Payload aliases b.
 func DecodeMsg(b []byte) (Msg, int, error) {
-	if len(b) < msgHeaderLen {
-		return Msg{}, 0, fmt.Errorf("%w: %d bytes, need %d for the header", ErrLinkCorrupt, len(b), msgHeaderLen)
-	}
-	if b[0] != linkMagic0 || b[1] != linkMagic1 {
-		return Msg{}, 0, fmt.Errorf("%w: bad magic %#02x%02x", ErrLinkCorrupt, b[0], b[1])
-	}
-	if b[2] != linkVersion {
-		return Msg{}, 0, fmt.Errorf("%w: unknown version %d", ErrLinkCorrupt, b[2])
+	blen, err := decodeHeader(b)
+	if err != nil {
+		return Msg{}, 0, err
 	}
 	m := Msg{Kind: MsgKind(b[3])}
-	body := b[msgHeaderLen:]
-	switch m.Kind {
-	case KindHello:
-		if len(body) < helloBodyLen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated hello (%d bytes)", ErrLinkCorrupt, len(body))
-		}
-		m.Node = binary.LittleEndian.Uint32(body)
-		m.Tier = Tier(body[4])
-		return m, msgHeaderLen + helloBodyLen, nil
-	case KindWelcome:
-		if len(body) < welcomeBodyLen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated welcome (%d bytes)", ErrLinkCorrupt, len(body))
-		}
-		m.Ack = binary.LittleEndian.Uint64(body)
-		return m, msgHeaderLen + welcomeBodyLen, nil
-	case KindData:
-		if len(body) < dataFixedLen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated data envelope (%d bytes)", ErrLinkCorrupt, len(body))
-		}
-		m.Seq = binary.LittleEndian.Uint64(body)
-		m.Unit = fleet.UnitID(int32(binary.LittleEndian.Uint32(body[8:])))
-		plen := int(binary.LittleEndian.Uint16(body[12:]))
-		if plen > MaxPayload {
-			return Msg{}, 0, fmt.Errorf("%w: payload %d bytes exceeds bound %d", ErrLinkCorrupt, plen, MaxPayload)
-		}
-		if len(body)-dataFixedLen < plen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrLinkCorrupt, len(body)-dataFixedLen, plen)
-		}
-		m.Payload = body[dataFixedLen : dataFixedLen+plen]
-		return m, msgHeaderLen + dataFixedLen + plen, nil
-	case KindAck:
-		if len(body) < ackBodyLen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated ack (%d bytes)", ErrLinkCorrupt, len(body))
-		}
-		m.Ack = binary.LittleEndian.Uint64(body)
-		return m, msgHeaderLen + ackBodyLen, nil
-	case KindAlert, KindHop, KindProfile:
-		if len(body) < dataFixedLen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated %s envelope (%d bytes)", ErrLinkCorrupt, m.Kind, len(body))
-		}
-		m.Seq = binary.LittleEndian.Uint64(body)
-		m.Node = binary.LittleEndian.Uint32(body[8:])
-		plen := int(binary.LittleEndian.Uint16(body[12:]))
-		if plen > MaxPayload {
-			return Msg{}, 0, fmt.Errorf("%w: payload %d bytes exceeds bound %d", ErrLinkCorrupt, plen, MaxPayload)
-		}
-		if len(body)-dataFixedLen < plen {
-			return Msg{}, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrLinkCorrupt, len(body)-dataFixedLen, plen)
-		}
-		m.Payload = body[dataFixedLen : dataFixedLen+plen]
-		return m, msgHeaderLen + dataFixedLen + plen, nil
-	default:
+	// An envelope's payload is whatever follows its fixed fields, so its
+	// only length constraint is room for those fields.
+	want := bodyLen(m.Kind, max(blen-envFixedLen, 0))
+	if want < 0 {
 		return Msg{}, 0, fmt.Errorf("%w: unknown kind %d", ErrLinkCorrupt, uint8(m.Kind))
 	}
+	if blen != want {
+		return Msg{}, 0, fmt.Errorf("%w: %s body declares %d bytes, want %d", ErrLinkCorrupt, m.Kind, blen, want)
+	}
+	if len(b)-msgHeaderLen < blen {
+		return Msg{}, 0, fmt.Errorf("%w: truncated %s body (%d of %d bytes)", ErrLinkCorrupt, m.Kind, len(b)-msgHeaderLen, blen)
+	}
+	body := b[msgHeaderLen : msgHeaderLen+blen]
+	switch m.Kind {
+	case KindHello:
+		m.Node = binary.LittleEndian.Uint32(body)
+		m.Tier = Tier(body[4])
+	case KindWelcome, KindAck:
+		m.Ack = binary.LittleEndian.Uint64(body)
+	case KindEnv:
+		m.Env = Envelope{
+			Seq:     binary.LittleEndian.Uint64(body),
+			Sub:     Sub(body[8]),
+			ID:      binary.LittleEndian.Uint32(body[9:]),
+			Payload: body[envFixedLen:],
+		}
+		if m.Env.Sub < SubData || m.Env.Sub > SubProfile {
+			return Msg{}, 0, fmt.Errorf("%w: unknown envelope subtype %d", ErrLinkCorrupt, uint8(m.Env.Sub))
+		}
+	}
+	return m, msgHeaderLen + blen, nil
 }

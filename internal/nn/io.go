@@ -135,7 +135,7 @@ func Unmarshal(data []byte) (*Network, error) {
 		case kindDense:
 			in, err1 := readU32(r)
 			out, err2 := readU32(r)
-			if err1 != nil || err2 != nil || in == 0 || out == 0 || in > 1<<20 || out > 1<<20 {
+			if err1 != nil || err2 != nil || in == 0 || out == 0 || in > 1<<20 || out > 1<<20 || !floatsFit(r, in, out) {
 				return nil, ErrBadModel
 			}
 			d := NewDense(int(in), int(out), nil)
@@ -163,7 +163,7 @@ func Unmarshal(data []byte) (*Network, error) {
 				}
 				vals[j] = v
 			}
-			if vals[0] == 0 || vals[1] == 0 || vals[2] == 0 || vals[3] == 0 {
+			if vals[0] == 0 || vals[1] == 0 || vals[2] == 0 || vals[3] == 0 || !floatsFit(r, vals[0], vals[1], vals[2], vals[2]) {
 				return nil, ErrBadModel
 			}
 			c := NewConv2D(int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3]), int(vals[4]), nil)
@@ -244,6 +244,21 @@ func writeU32(buf *bytes.Buffer, v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	buf.Write(b[:])
+}
+
+// floatsFit reports whether r still holds a float32 for every element of
+// a tensor with the given dims. Unmarshal checks it before allocating a
+// layer, so a header declaring huge dims is rejected instead of
+// allocating gigabytes for weights the input does not contain.
+func floatsFit(r *bytes.Reader, dims ...uint32) bool {
+	avail, need := uint64(r.Len())/4, uint64(1)
+	for _, d := range dims {
+		if need > avail/uint64(d) {
+			return false
+		}
+		need *= uint64(d)
+	}
+	return true
 }
 
 func readU32(r *bytes.Reader) (uint32, error) {

@@ -97,6 +97,11 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		[]byte("SFXM"),                 // truncated after magic
 		[]byte("SFXM\x02\x00\x00\x00"), // wrong version
 		[]byte("SFXM\x01\x00\x00\x00\xff\xff\xff\xff"), // absurd ID length
+		// A 2^20 x 2^20 dense layer and a conv with 2^16 channels and a
+		// 2^16 kernel (2^64 weights), neither with weights behind it:
+		// rejected before allocating.
+		[]byte("SFXM\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x10\x00\x00\x00\x10\x00"),
+		[]byte("SFXM\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x06\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00"),
 	}
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
